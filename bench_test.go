@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -124,13 +123,12 @@ func benchPolicy(b *testing.B, name hybridtier.PolicyName) {
 	b.Helper()
 	const pages = 1 << 14
 	for i := 0; i < b.N; i++ {
-		w := hybridtier.Zipf("bench", pages, 1.0, 7)
-		res, err := hybridtier.Simulate(hybridtier.SimOptions{
-			Workload:  w,
-			Policy:    name,
-			FastRatio: 8,
-			Ops:       100_000,
-		})
+		res, err := hybridtier.NewExperiment(
+			hybridtier.WithWorkload(hybridtier.Zipf("bench", pages, 1.0, 7)),
+			hybridtier.WithPolicy(name),
+			hybridtier.WithRatio(8),
+			hybridtier.WithOps(100_000),
+		).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,15 +147,13 @@ func BenchmarkPolicyTwoQ(b *testing.B)       { benchPolicy(b, hybridtier.PolicyT
 func BenchmarkHugePageMode(b *testing.B) {
 	const pages = 1 << 16
 	for i := 0; i < b.N; i++ {
-		w := hybridtier.Zipf("bench-huge", pages, 1.0, 7)
-		if _, err := hybridtier.Simulate(hybridtier.SimOptions{
-			Workload:  w,
-			HugePages: true,
-			FastRatio: 8,
-			Ops:       100_000,
-		}); err != nil {
+		if _, err := hybridtier.NewExperiment(
+			hybridtier.WithWorkload(hybridtier.Zipf("bench-huge", pages, 1.0, 7)),
+			hybridtier.WithHugePages(true),
+			hybridtier.WithRatio(8),
+			hybridtier.WithOps(100_000),
+		).Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
-	_ = mem.HugePageBytes
 }

@@ -8,7 +8,7 @@
 //
 //	htiersim [-workload cdn] [-policy HybridTier,Memtis] [-ratio 8,16]
 //	         [-seed 1,2,3] [-ops 1000000] [-huge] [-cache] [-tracker idlepage]
-//	         [-batch-ops N] [-pipeline] [-scale tiny|quick|full] [-workers N]
+//	         [-batch-ops N] [-scale tiny|quick|full] [-workers N]
 //	         [-json] [-series] [-list] [-record run.htrc] [-replay run.htrc]
 //	         [-trace-info run.htrc] [-submit http://host:8080]
 //
@@ -81,7 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scaleFlag := fs.String("scale", "quick", "workload scale: tiny, quick, or full")
 	workers := fs.Int("workers", 0, "concurrent sweep cells (default: all cores)")
 	batchOps := fs.Int("batch-ops", 0, "ops fetched per workload batch (1 = single-op reference schedule; results are identical)")
-	pipeline := fs.Bool("pipeline", false, "overlap workload generation with simulation (clock-free workloads only; results are identical)")
 	jsonOut := fs.Bool("json", false, "emit results as JSON")
 	series := fs.Bool("series", false, "print the latency time series (single run only)")
 	list := fs.Bool("list", false, "list workloads, policies, and composition syntax")
@@ -231,7 +230,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		hybridtier.WithCacheModel(*cache),
 		hybridtier.WithTracker(*trackerFlag),
 		hybridtier.WithBatchOps(*batchOps),
-		hybridtier.WithPipeline(*pipeline),
 	}
 	// For a trace the library defaults to the recorded length (a longer
 	// replay would wrap around to the trace's start), so the flag default

@@ -5,12 +5,15 @@ import (
 	"repro/internal/pebs"
 )
 
-// pebsTracker adapts the PEBS sampler to the Tracker interface. It is a
-// thin veneer: the sampler already speaks the hoisted-countdown protocol
-// (Take on fire, ObserveSkipped for the remainder), so every method
-// forwards, and Sync is free — hardware sampling has no periodic scan.
+// pebsTracker is hardware event-based sampling (the reference tracker):
+// one sample per Period accesses into the bounded ring. The caller hoists
+// the skip countdown into its own loop — the between-samples cost is one
+// register decrement there — so Observe is the firing half only: it
+// accounts the whole period (the sample plus the Period-1 accesses skipped
+// before it) and enqueues. The ring's ObserveSkipped folds in the unfired
+// remainder, and Sync is free: hardware sampling has no periodic scan.
 type pebsTracker struct {
-	s      *pebs.Sampler
+	sampleRing
 	period int
 }
 
@@ -18,17 +21,8 @@ func (t *pebsTracker) Kind() string { return KindPEBS }
 func (t *pebsTracker) Period() int  { return t.period }
 
 func (t *pebsTracker) Observe(page mem.PageID, tier mem.Tier, now int64, write bool) {
-	t.s.Take(page, tier, now, write)
+	t.accesses += uint64(t.period)
+	t.take(pebs.Sample{Page: page, Tier: tier, Time: now, Write: write})
 }
 
-func (t *pebsTracker) ObserveSkipped(n int) { t.s.ObserveSkipped(n) }
-func (t *pebsTracker) Sync(now int64) float64 {
-	_ = now
-	return 0
-}
-func (t *pebsTracker) Pending() int { return t.s.Pending() }
-func (t *pebsTracker) Drain(dst []pebs.Sample, max int) []pebs.Sample {
-	return t.s.Drain(dst, max)
-}
-func (t *pebsTracker) Ring() []pebs.Sample { return t.s.Ring() }
-func (t *pebsTracker) Stats() pebs.Stats   { return t.s.Stats() }
+func (t *pebsTracker) Sync(int64) float64 { return 0 }

@@ -1,16 +1,17 @@
 // Package tracker abstracts how the tiering runtime observes memory
-// accesses. The paper's runtime is written against one facility — the
-// PEBS-style subsampled address stream of internal/pebs — but production
-// tiering daemons (Intel's memtierd in cri-resource-manager, kernel
-// tiering) choose among *trackers*: hardware event sampling, idle-page
-// bitmap scans, soft-dirty write tracking, DAMON-style region sampling.
-// This package defines the pluggable Tracker contract the simulator
-// drives, with the PEBS sampler as the reference implementation and two
-// memtierd-inspired scanning trackers beside it.
+// accesses. The paper's runtime is written against one facility — a
+// PEBS-style subsampled address stream, delivered as internal/pebs
+// records — but production tiering daemons (Intel's memtierd in
+// cri-resource-manager, kernel tiering) choose among *trackers*: hardware
+// event sampling, idle-page bitmap scans, soft-dirty write tracking,
+// DAMON-style region sampling. This package defines the pluggable
+// Tracker contract the simulator drives, with the PEBS sampler as the
+// reference implementation and two memtierd-inspired scanning trackers
+// beside it.
 //
-// All trackers speak the same drain protocol as the PEBS sampler
+// All trackers share one drain protocol and one bounded sample ring
 // (Algorithm 1): accesses go in through Observe, samples come out in
-// batches through Drain, and a bounded ring drops under overload. What
+// batches through Drain, and the ring drops under overload. What
 // differs is *when* samples materialize — per access for PEBS, at
 // periodic scan boundaries (Sync) for the bitmap trackers — and what
 // they can see (soft-dirty observes only writes).
@@ -61,16 +62,20 @@ func Normalize(kind string) (string, error) {
 type Config struct {
 	// Kind is one of the Kind* constants; empty selects KindPEBS.
 	Kind string
-	// Pebs configures the PEBS tracker (ignored by scanning kinds).
-	Pebs pebs.Config
+	// Period is the PEBS sampling period: one sample is taken every Period
+	// accesses. Real deployments use periods in the hundreds to thousands
+	// to bound overhead; the default mirrors that scaled to simulated
+	// footprints. Scanning kinds ignore it (they observe every access).
+	Period int
+	// BufferSize is the capacity of every kind's sample ring. When the
+	// consumer falls behind, new samples are dropped (as the PEBS hardware
+	// does), and the drop is counted.
+	BufferSize int
 	// ScanNs is the scan period of the bitmap trackers in virtual ns.
 	// memtierd scans every few hundred ms against real footprints; the
 	// default is scaled to the simulator's footprints like the PEBS
 	// period is.
 	ScanNs int64
-	// BufferSize bounds the scanning trackers' sample ring (same drop
-	// semantics as pebs.Config.BufferSize).
-	BufferSize int
 	// ScanCostPerPageNs is the tiering-thread cost of scanning one page's
 	// bit — the sequential bitmap read that makes idlepage cheap per page
 	// but proportional to the whole footprint per scan.
@@ -82,9 +87,9 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Kind:              KindPEBS,
-		Pebs:              pebs.DefaultConfig(),
-		ScanNs:            20_000_000, // 20 virtual ms per full-footprint scan
+		Period:            13,
 		BufferSize:        1 << 16,
+		ScanNs:            20_000_000, // 20 virtual ms per full-footprint scan
 		ScanCostPerPageNs: 0.5,
 	}
 }
@@ -95,14 +100,17 @@ func (c Config) Validate() error {
 	if err != nil {
 		return err
 	}
+	if c.BufferSize <= 0 {
+		return fmt.Errorf("tracker: BufferSize must be positive, got %d", c.BufferSize)
+	}
 	if kind == KindPEBS {
-		return c.Pebs.Validate()
+		if c.Period <= 0 {
+			return fmt.Errorf("tracker: Period must be positive, got %d", c.Period)
+		}
+		return nil
 	}
 	if c.ScanNs <= 0 {
 		return fmt.Errorf("tracker: ScanNs must be positive, got %d", c.ScanNs)
-	}
-	if c.BufferSize <= 0 {
-		return fmt.Errorf("tracker: BufferSize must be positive, got %d", c.BufferSize)
 	}
 	if c.ScanCostPerPageNs < 0 {
 		return fmt.Errorf("tracker: ScanCostPerPageNs must be non-negative, got %g", c.ScanCostPerPageNs)
@@ -164,11 +172,10 @@ func New(cfg Config, numPages int, ring []pebs.Sample) (Tracker, error) {
 	}
 	switch kind {
 	case KindPEBS:
-		s, err := pebs.NewWithRing(norm.Pebs, ring)
-		if err != nil {
-			return nil, err
-		}
-		return &pebsTracker{s: s, period: norm.Pebs.Period}, nil
+		return &pebsTracker{
+			sampleRing: sampleRing{buf: checkoutRing(ring, norm.BufferSize)},
+			period:     norm.Period,
+		}, nil
 	case KindIdlepage:
 		return newIdlepage(norm, numPages, ring), nil
 	case KindSoftDirty:

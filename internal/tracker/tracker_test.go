@@ -42,24 +42,35 @@ func TestValidate(t *testing.T) {
 	}
 	bad := []Config{
 		{Kind: "nope"},
-		{Kind: KindPEBS, Pebs: pebs.Config{Period: 0, BufferSize: 1}},
+		{Kind: KindPEBS, Period: 0, BufferSize: 1},
 		{Kind: KindIdlepage, ScanNs: 0, BufferSize: 8},
 		{Kind: KindSoftDirty, ScanNs: 100, BufferSize: 0},
 		{Kind: KindIdlepage, ScanNs: 100, BufferSize: 8, ScanCostPerPageNs: -1},
+	}
+	// The ring is shared, so every kind rejects an empty one.
+	for _, kind := range Kinds() {
+		c := good
+		c.Kind = kind
+		c.BufferSize = 0
+		bad = append(bad, c)
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: config %+v validated; want error", i, c)
 		}
+		if _, err := New(c, 64, nil); err == nil {
+			t.Errorf("case %d: New(%+v) succeeded; want error", i, c)
+		}
 	}
 }
 
-// TestPEBSAdapter checks the adapter preserves the sampler's hoisted-
-// countdown accounting: Observe forwards to Take (a full period each),
-// ObserveSkipped folds the remainder, and the drain path is untouched.
+// TestPEBSAdapter checks the PEBS tracker's hoisted-countdown
+// accounting: each Observe is one fired sample and accounts a full
+// period, ObserveSkipped folds the remainder, and drops are counted.
 func TestPEBSAdapter(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Pebs = pebs.Config{Period: 5, BufferSize: 4}
+	cfg.Period = 5
+	cfg.BufferSize = 4
 	trk, err := New(cfg, 128, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -217,28 +228,5 @@ func TestRingOverflowAndWrap(t *testing.T) {
 		if s.Page != wantPages[i] {
 			t.Fatalf("sample %d page = %d; want %d", i, s.Page, wantPages[i])
 		}
-	}
-}
-
-// TestCheckoutRingScrub pins the pooled-buffer guarantee: recycled rings
-// are cleared before a tracker adopts them, so stale samples from a
-// previous sweep cell can never be observed, even through a bug that
-// reads an unwritten slot.
-func TestCheckoutRingScrub(t *testing.T) {
-	stale := make([]pebs.Sample, 8)
-	for i := range stale {
-		stale[i] = pebs.Sample{Page: 999, Tier: mem.Slow, Time: 42, Write: true}
-	}
-	r := checkoutRing(stale, 4)
-	if len(r) != 4 {
-		t.Fatalf("len = %d; want 4", len(r))
-	}
-	for i, s := range r {
-		if s != (pebs.Sample{}) {
-			t.Fatalf("slot %d not scrubbed: %+v", i, s)
-		}
-	}
-	if small := checkoutRing(stale[:2], 4); len(small) != 4 {
-		t.Fatalf("short recycled buffer not replaced")
 	}
 }

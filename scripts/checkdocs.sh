@@ -15,11 +15,12 @@ fail=0
 # above its package clause (license headers and build tags may precede
 # it, so the whole leading block is scanned, not just line 1). Examples
 # are package main demos whose doc comment is prose, so any comment line
-# before the package clause counts there.
+# before the package clause counts there. The benchmark program is a
+# command like those under cmd/.
 for dir in $(find . -name '*.go' -not -path './.git/*' -exec dirname {} \; | sort -u); do
     case "$dir" in
     ./examples/*) pat='^\/\/ ' ;;
-    ./cmd/*) pat='^\/\/ Command ' ;;
+    ./cmd/* | ./benchmark) pat='^\/\/ Command ' ;;
     *) pat='^\/\/ Package ' ;;
     esac
     ok=0
