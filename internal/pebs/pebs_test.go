@@ -1,216 +1,32 @@
-package pebs
+package pebs_test
 
 import (
 	"testing"
-	"testing/quick"
 
-	"repro/internal/mem"
+	"repro/internal/tracker"
 )
 
+// TestConfigValidate checks the PEBS sampler's configuration, which
+// lives in tracker.Config beside the scanning kinds: the default is
+// valid, and a zero sampling period or an empty ring is rejected by
+// both Validate and New.
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
+	good := tracker.DefaultConfig()
+	if good.Kind != tracker.KindPEBS {
+		t.Fatalf("default kind = %q, want %q", good.Kind, tracker.KindPEBS)
+	}
+	if err := good.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	bad := []Config{{Period: 0, BufferSize: 10}, {Period: 10, BufferSize: 0}}
+	bad := []tracker.Config{good, good}
+	bad[0].Period = 0
+	bad[1].BufferSize = 0
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("Validate(%+v) should fail", c)
 		}
-		if _, err := New(c); err == nil {
+		if _, err := tracker.New(c, 64, nil); err == nil {
 			t.Errorf("New(%+v) should fail", c)
 		}
-	}
-}
-
-func TestSamplingPeriod(t *testing.T) {
-	s := MustNew(Config{Period: 10, BufferSize: 1000})
-	for i := 0; i < 100; i++ {
-		s.Observe(mem.PageID(i), mem.Fast, int64(i), false)
-	}
-	if s.Pending() != 10 {
-		t.Errorf("100 accesses at period 10 → %d samples, want 10", s.Pending())
-	}
-	st := s.Stats()
-	if st.Accesses != 100 || st.Sampled != 10 || st.Dropped != 0 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestSampleContents(t *testing.T) {
-	s := MustNew(Config{Period: 2, BufferSize: 8})
-	s.Observe(1, mem.Fast, 100, false)
-	s.Observe(2, mem.Slow, 200, true) // 2nd access → sampled
-	got := s.Drain(nil, 0)
-	if len(got) != 1 {
-		t.Fatalf("drained %d, want 1", len(got))
-	}
-	want := Sample{Page: 2, Tier: mem.Slow, Time: 200, Write: true}
-	if got[0] != want {
-		t.Errorf("sample = %+v, want %+v", got[0], want)
-	}
-}
-
-func TestDropOnOverflow(t *testing.T) {
-	s := MustNew(Config{Period: 1, BufferSize: 4})
-	for i := 0; i < 10; i++ {
-		s.Observe(mem.PageID(i), mem.Fast, 0, false)
-	}
-	if s.Pending() != 4 {
-		t.Errorf("Pending = %d, want 4 (buffer capacity)", s.Pending())
-	}
-	if s.Stats().Dropped != 6 {
-		t.Errorf("Dropped = %d, want 6", s.Stats().Dropped)
-	}
-	// The oldest samples are kept (drops happen at the producer).
-	got := s.Drain(nil, 0)
-	if got[0].Page != 0 || got[3].Page != 3 {
-		t.Errorf("kept pages %v, want the first four", got)
-	}
-}
-
-func TestDrainMax(t *testing.T) {
-	s := MustNew(Config{Period: 1, BufferSize: 100})
-	for i := 0; i < 50; i++ {
-		s.Observe(mem.PageID(i), mem.Fast, 0, false)
-	}
-	got := s.Drain(nil, 20)
-	if len(got) != 20 || s.Pending() != 30 {
-		t.Errorf("Drain(20): got %d pending %d", len(got), s.Pending())
-	}
-	got = s.Drain(got[:0], 0)
-	if len(got) != 30 || s.Pending() != 0 {
-		t.Errorf("Drain(all): got %d pending %d", len(got), s.Pending())
-	}
-	if s.Stats().Drained != 50 {
-		t.Errorf("Drained = %d, want 50", s.Stats().Drained)
-	}
-}
-
-func TestRingWraparound(t *testing.T) {
-	s := MustNew(Config{Period: 1, BufferSize: 4})
-	// Fill, drain, fill again to force head/tail wrap.
-	for round := 0; round < 5; round++ {
-		for i := 0; i < 3; i++ {
-			s.Observe(mem.PageID(round*10+i), mem.Fast, 0, false)
-		}
-		got := s.Drain(nil, 0)
-		if len(got) != 3 {
-			t.Fatalf("round %d: drained %d, want 3", round, len(got))
-		}
-		for i, smp := range got {
-			if smp.Page != mem.PageID(round*10+i) {
-				t.Fatalf("round %d: sample %d = %+v (FIFO violated)", round, i, smp)
-			}
-		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	s := MustNew(Config{Period: 3, BufferSize: 10})
-	s.Observe(1, mem.Fast, 0, false)
-	s.Observe(1, mem.Fast, 0, false) // phase = 2
-	s.Reset()
-	// After reset the phase restarts: two more observes must not sample.
-	s.Observe(1, mem.Fast, 0, false)
-	s.Observe(1, mem.Fast, 0, false)
-	if s.Pending() != 0 {
-		t.Error("Reset must clear the period phase")
-	}
-	s.Observe(1, mem.Fast, 0, false)
-	if s.Pending() != 1 {
-		t.Error("third post-reset observe must sample")
-	}
-}
-
-// Property: for any access count n and period p, samples = floor(n/p) when
-// the buffer is large enough, and FIFO order is preserved.
-func TestSampleCountProperty(t *testing.T) {
-	f := func(n uint16, p uint8) bool {
-		period := int(p)%50 + 1
-		s := MustNew(Config{Period: period, BufferSize: 1 << 16})
-		for i := 0; i < int(n); i++ {
-			s.Observe(mem.PageID(i), mem.Fast, int64(i), false)
-		}
-		want := int(n) / period
-		got := s.Drain(nil, 0)
-		if len(got) != want {
-			return false
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i].Time <= got[i-1].Time {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkObserve(b *testing.B) {
-	s := MustNew(DefaultConfig())
-	scratch := make([]Sample, 0, 1024)
-	for i := 0; i < b.N; i++ {
-		s.Observe(mem.PageID(i&0xffff), mem.Fast, int64(i), false)
-		if s.Pending() > 512 {
-			scratch = s.Drain(scratch[:0], 0)
-		}
-	}
-}
-
-// TestCountdownOverflowDrop is the regression test for the countdown
-// sampler rewrite: with the ring full, every further sample must be
-// dropped and counted, the countdown must keep rearming (sampling cadence
-// unchanged), and the derived access count must stay exact through
-// overflow, drain, and Reset.
-func TestCountdownOverflowDrop(t *testing.T) {
-	s := MustNew(Config{Period: 3, BufferSize: 4})
-	total := 3 * 10 // 10 samples: 4 buffered + 6 dropped
-	for i := 0; i < total; i++ {
-		s.Observe(mem.PageID(i), mem.Slow, int64(i), false)
-	}
-	st := s.Stats()
-	if st.Accesses != uint64(total) {
-		t.Errorf("Accesses = %d, want %d", st.Accesses, total)
-	}
-	if st.Sampled != 10 {
-		t.Errorf("Sampled = %d, want 10", st.Sampled)
-	}
-	if st.Dropped != 6 {
-		t.Errorf("Dropped = %d, want 6", st.Dropped)
-	}
-	if s.Pending() != 4 {
-		t.Errorf("Pending = %d, want 4", s.Pending())
-	}
-	// The buffered samples are the first four; drops never overwrite.
-	got := s.Drain(nil, 0)
-	for i, smp := range got {
-		if want := mem.PageID(3*i + 2); smp.Page != want {
-			t.Errorf("sample %d: page %d, want %d", i, smp.Page, want)
-		}
-	}
-	// A drained ring resumes capturing on the existing countdown phase:
-	// two more accesses complete the period after the one observed above.
-	s.Observe(1000, mem.Fast, 1, false)
-	if s.Pending() != 0 {
-		t.Fatalf("sample fired mid-period")
-	}
-	s.Observe(1001, mem.Fast, 2, false)
-	s.Observe(1002, mem.Fast, 3, false)
-	if s.Pending() != 1 {
-		t.Fatalf("Pending = %d after a full period, want 1", s.Pending())
-	}
-	if st := s.Stats(); st.Accesses != uint64(total+3) {
-		t.Errorf("Accesses after drain = %d, want %d", st.Accesses, total+3)
-	}
-	// Reset clears the phase but keeps statistics exact.
-	s.Observe(2000, mem.Fast, 4, false)
-	s.Reset()
-	if st := s.Stats(); st.Accesses != uint64(total+4) {
-		t.Errorf("Accesses after Reset = %d, want %d", st.Accesses, total+4)
-	}
-	if s.Pending() != 0 {
-		t.Errorf("Pending after Reset = %d, want 0", s.Pending())
 	}
 }
