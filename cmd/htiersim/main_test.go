@@ -68,9 +68,9 @@ func TestComposedWorkloadRuns(t *testing.T) {
 }
 
 // TestComposedRecordReplayJSONByteIdentical is the CLI form of the
-// acceptance criterion: record a composed run, then replay it — batched
-// and on the single-op reference schedule — and require byte-identical
-// sweep JSON across all three.
+// acceptance criterion: record a composed run, then replay it and require
+// byte-identical sweep JSON. The single-op schedule's replay is covered by
+// the root package's TestComposedRecordReplayByteIdentical.
 func TestComposedRecordReplayJSONByteIdentical(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "m.htrc")
 	code, live, stderr := runCLI(t,
@@ -85,14 +85,7 @@ func TestComposedRecordReplayJSONByteIdentical(t *testing.T) {
 		t.Fatalf("replay exited %d, stderr: %s", code, stderr)
 	}
 	if replay != live {
-		t.Error("batched replay JSON differs from the live run's")
-	}
-	code, single, stderr := runCLI(t, "-replay", trace, "-batch-ops", "1", "-json")
-	if code != 0 {
-		t.Fatalf("single-op replay exited %d, stderr: %s", code, stderr)
-	}
-	if single != live {
-		t.Error("single-op replay JSON differs from the live run's")
+		t.Error("replay JSON differs from the live run's")
 	}
 
 	code, info, _ := runCLI(t, "-trace-info", trace)
@@ -102,6 +95,25 @@ func TestComposedRecordReplayJSONByteIdentical(t *testing.T) {
 	for _, want := range []string{"mix(", "ops            3000", "clean end      true"} {
 		if !strings.Contains(info, want) {
 			t.Errorf("-trace-info output lacks %q:\n%s", want, info)
+		}
+	}
+}
+
+// TestNonPositiveOpsExits2: -ops below 1 is a usage error on both the
+// local and the -submit path, not a silent fall-back to the default
+// length. The submit case fails before any request is made.
+func TestNonPositiveOpsExits2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-ops", "-5", "-workload", "zipf", "-scale", "tiny"},
+		{"-ops", "0", "-workload", "zipf", "-scale", "tiny"},
+		{"-ops", "-5", "-workload", "zipf", "-scale", "tiny", "-submit", "http://127.0.0.1:1"},
+	} {
+		code, out, stderr := runCLI(t, args...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stdout %q)", args, code, out)
+		}
+		if !strings.Contains(stderr, "-ops must be at least 1") {
+			t.Errorf("%v: stderr lacks the -ops diagnosis: %s", args, stderr)
 		}
 	}
 }

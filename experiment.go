@@ -36,9 +36,6 @@ type Experiment struct {
 	batchOps int
 	recordTo string
 	progress func(done, total int64)
-	// scratch supplies reusable simulation buffers; Sweep workers set it
-	// directly so cells on one worker recycle allocations.
-	scratch *sim.Scratch
 }
 
 // Option configures an Experiment.
@@ -204,12 +201,11 @@ func WithProgress(fn func(done, total int64)) Option {
 	return func(e *Experiment) { e.progress = fn }
 }
 
-// WithBatchOps sets how many operations the simulator fetches from the
-// workload per batch (default sim.DefaultBatchOps). It is purely a
-// performance knob — results are identical for any value — and 1 forces
-// the single-op fetch schedule, which the determinism tests compare
-// against the batched default.
-func WithBatchOps(n int) Option {
+// withBatchOps sets how many operations the simulator fetches from the
+// workload per batch (default sim.DefaultBatchOps). Results are identical
+// for any value; 1 forces the single-op fetch schedule, which the
+// determinism tests compare against the batched default.
+func withBatchOps(n int) Option {
 	return func(e *Experiment) { e.batchOps = n }
 }
 
@@ -341,7 +337,6 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 	cfg.Ctx = ctx
 	cfg.Progress = e.progress
 	cfg.BatchOps = e.batchOps
-	cfg.Scratch = e.scratch
 	res, err := sim.Run(cfg)
 	if err == nil {
 		// Streaming sources (trace replay, recording tees) cannot report

@@ -12,6 +12,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/cachesim"
 	"repro/internal/mem"
@@ -85,27 +86,24 @@ type Config struct {
 	// run promptly with a *CanceledError.
 	Ctx context.Context
 	// Progress, when non-nil, is called from the op loop with (done, total)
-	// operation counts every ProgressEvery ops and once at completion. It
-	// runs on the simulation goroutine and must be cheap.
+	// operation counts every 65536 ops and once at completion. It runs on
+	// the simulation goroutine and must be cheap.
 	Progress func(done, total int64)
-	// ProgressEvery is the Progress callback period in ops (default 65536).
-	ProgressEvery int64
 	// BatchOps is the number of operations fetched from the workload per
 	// trace.BatchSource call (default DefaultBatchOps). Purely a throughput
 	// knob: any value produces identical results, and 1 forces the
 	// single-op fetch schedule (the reference path the determinism tests
 	// compare against).
 	BatchOps int
-	// Scratch, when non-nil, supplies reusable buffers (access batches,
-	// histograms) so sweeps can recycle allocations across cells. A Scratch
-	// must not be shared by concurrent runs.
-	Scratch *Scratch
 }
 
 // DefaultBatchOps is the default workload fetch batch: large enough to
 // amortize per-batch dispatch to nothing, small enough that the access
 // buffer stays cache-resident.
 const DefaultBatchOps = 512
+
+// progressEvery is the Config.Progress callback period in ops.
+const progressEvery = 65536
 
 // DefaultConfig returns simulation parameters for a workload and policy at
 // the given fast-tier capacity.
@@ -313,109 +311,21 @@ func (s *simulator) updateUtilization() {
 	s.winStart = s.now
 }
 
-// Scratch holds the large per-run buffers — the access batch, the sample
-// batch, and the latency/series histograms — so repeated runs (sweep cells)
-// can reuse them instead of reallocating ~100 KB per cell. The zero value
-// is ready to use; a nil *Scratch is also valid everywhere and simply
-// allocates fresh. Reuse never leaks state between runs: slices are
-// truncated and histograms fully reset (layout mismatches allocate anew),
-// and everything a Result retains (series points) is freshly allocated.
-type Scratch struct {
-	accs    []trace.Access
-	samples []tier.Sample
+// runBuffers holds the two per-run buffers large enough to be worth
+// recycling: the tracker's sample ring (2 MiB at the default size) and the
+// recency array (8 bytes per page). Everything else a run allocates totals
+// about 150 KiB and is allocated fresh.
+type runBuffers struct {
 	ring    []pebs.Sample
-	lastAcc []int64
-	latHist *stats.Histogram
-	series  *stats.TimeSeries
-	slow    *stats.TimeSeries
+	recency []int64
 }
 
-// ringBuf returns the pooled sample ring (nil is fine: the tracker then
-// allocates). The tracker scrubs the recycled contents on checkout — a
-// pooled ring holds another cell's samples, and stale entries must not be
-// able to leak into this cell's stats even through a buffer-handling bug.
-func (sc *Scratch) ringBuf() []pebs.Sample {
-	if sc == nil {
-		return nil
-	}
-	return sc.ring
-}
-
-// lastAccessBuf returns a zeroed recency array of length n, reusing the
-// pooled one when large enough.
-func (sc *Scratch) lastAccessBuf(n int) []int64 {
-	if sc == nil || cap(sc.lastAcc) < n {
-		return make([]int64, n)
-	}
-	la := sc.lastAcc[:n]
-	clear(la)
-	return la
-}
-
-// accessBuf returns an empty access slice with at least the given capacity.
-func (sc *Scratch) accessBuf(capacity int) []trace.Access {
-	if sc == nil || cap(sc.accs) < capacity {
-		return make([]trace.Access, 0, capacity)
-	}
-	return sc.accs[:0]
-}
-
-// sampleBuf returns an empty sample slice with at least the given capacity.
-func (sc *Scratch) sampleBuf(capacity int) []tier.Sample {
-	if sc == nil || cap(sc.samples) < capacity {
-		return make([]tier.Sample, 0, capacity)
-	}
-	return sc.samples[:0]
-}
-
-// histogram returns a reset histogram with the requested layout, reusing
-// the pooled one when its layout matches.
-func (sc *Scratch) histogram(lo, hi int64, buckets int) *stats.Histogram {
-	if sc == nil {
-		return stats.NewHistogram(lo, hi, buckets)
-	}
-	if h := sc.latHist; h != nil {
-		if mn, mx, b := h.Layout(); mn == lo && mx == hi && b == buckets {
-			h.Reset()
-			return h
-		}
-	}
-	sc.latHist = stats.NewHistogram(lo, hi, buckets)
-	return sc.latHist
-}
-
-// timeSeries returns a reset series with the requested layout; slowSlot
-// selects which of the two pooled series (latency vs slow-share) to reuse.
-func (sc *Scratch) timeSeries(slowSlot bool, window, lo, hi int64, buckets int) *stats.TimeSeries {
-	if sc == nil {
-		return stats.NewTimeSeries(window, lo, hi, buckets)
-	}
-	p := &sc.series
-	if slowSlot {
-		p = &sc.slow
-	}
-	if t := *p; t != nil {
-		if w, l, h, b := t.Layout(); w == window && l == lo && h == hi && b == buckets {
-			t.Reset()
-			return t
-		}
-	}
-	*p = stats.NewTimeSeries(window, lo, hi, buckets)
-	return *p
-}
-
-// release stores the run's buffers back for the next reuse.
-func (sc *Scratch) release(accs []trace.Access, samples []tier.Sample, ring []pebs.Sample, lastAcc []int64) {
-	if sc == nil {
-		return
-	}
-	sc.accs = accs[:0]
-	sc.samples = samples[:0]
-	sc.ring = ring
-	if lastAcc != nil {
-		sc.lastAcc = lastAcc
-	}
-}
+// bufPool recycles runBuffers across runs, so sweep cells, fleet workers
+// and experiment grids reuse them without plumbing. It holds pointers so
+// that Put does not allocate. Reuse never leaks state between runs: the
+// tracker scrubs an adopted ring on checkout, and the recency array is
+// cleared.
+var bufPool = sync.Pool{New: func() any { return new(runBuffers) }}
 
 // Run executes the simulation and returns its metrics.
 func Run(cfg Config) (*Result, error) {
@@ -439,10 +349,11 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	bufs := bufPool.Get().(*runBuffers)
 	// Bitmap trackers size their per-page bits at the simulation's
 	// tracking granularity, so huge pages shrink them 512× — exactly what
 	// a THP-aware idlepage walk sees.
-	trk, err := tracker.New(cfg.Tracker, numPages, cfg.Scratch.ringBuf())
+	trk, err := tracker.New(cfg.Tracker, numPages, bufs.ring)
 	if err != nil {
 		return nil, err
 	}
@@ -460,7 +371,13 @@ func Run(cfg Config) (*Result, error) {
 		metaBase: int64(numPages)*cfg.PageBytes + (1 << 40),
 	}
 	if !recencyFree {
-		s.lastAccess = cfg.Scratch.lastAccessBuf(numPages)
+		if cap(bufs.recency) >= numPages {
+			s.lastAccess = bufs.recency[:numPages]
+			clear(s.lastAccess)
+		} else {
+			s.lastAccess = make([]int64, numPages)
+			bufs.recency = s.lastAccess
+		}
 	}
 	e := &env{s: s}
 	cfg.Policy.Attach(e)
@@ -472,24 +389,23 @@ func Run(cfg Config) (*Result, error) {
 		faultBits = fb.FaultBitmap()
 	}
 
-	sc := cfg.Scratch
-	latHist := sc.histogram(0, cfg.LatHistMaxNs, 8192)
-	series := sc.timeSeries(false, cfg.WindowNs, 0, cfg.LatHistMaxNs, 4096)
-	slowSeries := sc.timeSeries(true, cfg.WindowNs, 0, 1001, 2)
-	batch := sc.sampleBuf(cfg.BatchDrain * 2)
+	latHist := stats.NewHistogram(0, cfg.LatHistMaxNs, 8192)
+	series := stats.NewTimeSeries(cfg.WindowNs, 0, cfg.LatHistMaxNs, 4096)
+	slowSeries := stats.NewTimeSeries(cfg.WindowNs, 0, 1001, 2)
+	batch := make([]tier.Sample, 0, cfg.BatchDrain*2)
 
 	batchOps := cfg.BatchOps
 	if batchOps <= 0 {
 		batchOps = DefaultBatchOps
 	}
 	// Most workloads touch a handful of pages per op; the batch buffer is
-	// preallocated for that and grows (amortized, reused across batches and
-	// — via Scratch — across runs) for denser ops.
-	buf := sc.accessBuf(batchOps * 4)
+	// preallocated for that and grows (amortized, reused across batches)
+	// for denser ops.
+	buf := make([]trace.Access, 0, batchOps*4)
 	src := trace.AsBatchSource(cfg.Workload)
 	// A PackedViewSource (in-memory replay) hands out batches as read-only
 	// slices of its own packed storage; the loop decodes entries straight
-	// into registers, so replay pays neither a copy into the scratch buffer
+	// into registers, so replay pays neither a copy into the batch buffer
 	// nor an []Access materialization.
 	packedSrc, _ := src.(trace.PackedViewSource)
 
@@ -525,11 +441,7 @@ func Run(cfg Config) (*Result, error) {
 	// the drain schedule identical to an every-op check.
 	mayDrain := false
 
-	progressEvery := cfg.ProgressEvery
-	if progressEvery <= 0 {
-		progressEvery = 65536
-	}
-	progressLeft := progressEvery
+	progressLeft := int64(progressEvery)
 
 	// The slow-tier share series receives only the values 0 and 1000, so a
 	// whole window collapses to two counts. The loop accumulates them here
@@ -740,7 +652,8 @@ func Run(cfg Config) (*Result, error) {
 		slowSeries.ObserveN(slowStamp, 0, fastC)
 	}
 	trk.ObserveSkipped(trackPeriod - trackLeft)
-	sc.release(buf, batch, trk.Ring(), s.lastAccess)
+	bufs.ring = trk.Ring()
+	bufPool.Put(bufs)
 
 	// A final clock notification marks the end-of-run virtual time for
 	// stream observers — a trace capture's last time mark records the

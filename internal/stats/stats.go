@@ -185,12 +185,6 @@ func (h *Histogram) ObserveN(v int64, n uint64) {
 	}
 }
 
-// Layout returns the bucket layout, so pooled histograms can be matched to
-// a requested shape before reuse.
-func (h *Histogram) Layout() (min, max int64, buckets int) {
-	return h.min, h.max, len(h.counts)
-}
-
 // Count returns the number of observed values.
 func (h *Histogram) Count() uint64 { return h.total }
 
@@ -313,8 +307,6 @@ type TimeSeries struct {
 	current int64 // start of the open window
 	hist    *Histogram
 	points  []SeriesPoint
-	lo, hi  int64
-	buckets int
 	started bool
 }
 
@@ -332,13 +324,7 @@ func NewTimeSeries(window, lo, hi int64, buckets int) *TimeSeries {
 	if window <= 0 {
 		panic("stats: NewTimeSeries requires window > 0")
 	}
-	return &TimeSeries{
-		window:  window,
-		hist:    NewHistogram(lo, hi, buckets),
-		lo:      lo,
-		hi:      hi,
-		buckets: buckets,
-	}
+	return &TimeSeries{window: window, hist: NewHistogram(lo, hi, buckets)}
 }
 
 // Observe records value v at virtual time now. Times must be non-decreasing.
@@ -392,22 +378,6 @@ func (t *TimeSeries) Points() []SeriesPoint {
 		t.flush()
 	}
 	return t.points
-}
-
-// Layout returns the window duration and per-window histogram layout, so
-// pooled series can be matched to a requested shape before reuse.
-func (t *TimeSeries) Layout() (window, lo, hi int64, buckets int) {
-	return t.window, t.lo, t.hi, t.buckets
-}
-
-// Reset returns the series to its just-constructed state while keeping the
-// (large) per-window histogram allocation. The accumulated points are
-// released, not recycled: callers of Points own the returned slice.
-func (t *TimeSeries) Reset() {
-	t.hist.Reset()
-	t.points = nil
-	t.current = 0
-	t.started = false
 }
 
 // SteadyState returns the mean of the medians of the last n windows, which

@@ -1,8 +1,10 @@
 #!/bin/sh
 # bench.sh — run the micro + figure benchmarks with -benchmem and emit
 # BENCH_<label>.json (one record per benchmark: iterations, ns/op,
-# ops/sec, B/op, allocs/op). docs/PERFORMANCE.md explains how the files
-# are used to track the performance trajectory across PRs.
+# ops/sec, B/op, allocs/op), headed by a "machine" fingerprint: CPU,
+# nproc, GOMAXPROCS, Go version and PGO setting. docs/PERFORMANCE.md
+# explains how the files are used to track the performance trajectory
+# across PRs.
 #
 #   ./scripts/bench.sh mylabel            # full run (3 iterations/benchmark)
 #   BENCHTIME=1x ./scripts/bench.sh smoke # one iteration per benchmark
@@ -22,9 +24,16 @@ trap 'rm -f "$raw"' EXIT
 pgoflag=""
 if [ -n "$pgo" ]; then pgoflag="-pgo=$pgo"; fi
 
+# The machine fingerprint, in the format of BENCH_trackers.json. With PGO
+# unset, go test's default -pgo=auto applies.
+cpu=$(awk -F': *' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null | tr -d '"\\' || true)
+[ -n "$cpu" ] || cpu=$(uname -m)
+ncpu=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)
+machine="$cpu, nproc $ncpu, GOMAXPROCS ${GOMAXPROCS:-$ncpu}, $(go env GOVERSION) $(go env GOOS)/$(go env GOARCH), PGO ${pgo:-auto}"
+
 go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" $pgoflag ./... | tee "$raw" >&2
 
-awk -v label="$label" '
+awk -v label="$label" -v machine="$machine" '
 BEGIN { n = 0 }
 /^Benchmark/ {
     name = $1
@@ -41,7 +50,7 @@ BEGIN { n = 0 }
         name, iters, ns, 1e9 / ns, bytes == "" ? 0 : bytes, allocs == "" ? 0 : allocs)
 }
 END {
-    printf "{\n \"label\": \"%s\",\n \"benchmarks\": [\n", label
+    printf "{\n \"label\": \"%s\",\n \"machine\": \"%s\",\n \"benchmarks\": [\n", label, machine
     for (i = 0; i < n; i++) printf "%s%s\n", recs[i], i < n - 1 ? "," : ""
     printf " ]\n}\n"
 }' "$raw" > "$out"

@@ -8,6 +8,10 @@
 #   * a designated benchmark missing from the fresh run (a silently
 #     deleted benchmark must not pass the gate)
 #
+# It prints both files' "machine" fingerprints and a WARN line when they
+# differ: ns/op deltas across machines are not comparable, but the
+# verdict is the same either way.
+#
 #   ./scripts/bench_compare.sh BENCH_fresh.json [BENCH_baseline.json]
 #   RATCHET_BENCHES="BenchmarkFoo BenchmarkBar" ...  # override the set
 #   RATCHET_PCT=15 ...                               # override the threshold
@@ -58,6 +62,19 @@ extract() {
             }
         }' "$1"
 }
+
+# machine FILE -> the file's "machine" fingerprint, or a placeholder.
+machine() {
+    m=$(grep -o '"machine": *"[^"]*"' "$1" | head -n 1 | sed 's/^"machine": *"//; s/"$//')
+    echo "${m:-(none recorded)}"
+}
+freshmachine=$(machine "$fresh")
+basemachine=$(machine "$base")
+echo "machine  fresh:    $freshmachine" >&2
+echo "machine  baseline: $basemachine" >&2
+if [ "$freshmachine" != "$basemachine" ]; then
+    echo "WARN  machine fingerprints differ: ns/op deltas compare different hardware or toolchains" >&2
+fi
 
 freshdata=$(mktemp); basedata=$(mktemp)
 trap 'rm -f "$freshdata" "$basedata"' EXIT

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/registry"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tracefile"
 )
@@ -87,22 +86,14 @@ func (s *Sweep) Cells() []Cell {
 	return cells
 }
 
-// scratchPool recycles per-run simulation buffers (access batches, sample
-// rings, histograms — ~2.5 MB each) across sweep cells and across sweeps.
-// Each worker goroutine checks one Scratch out for its whole cell stream,
-// so a sweep allocates the buffers Workers times instead of per cell.
-var scratchPool = sync.Pool{New: func() any { return new(sim.Scratch) }}
-
 // experimentFor builds the cell's experiment from Base plus sweep-level
 // extras (e.g. the trace-length ops default) plus coordinates.
-func (s *Sweep) experimentFor(c Cell, extra []Option, sc *sim.Scratch) *Experiment {
+func (s *Sweep) experimentFor(c Cell, extra []Option) *Experiment {
 	opts := make([]Option, 0, len(s.Base)+len(extra)+3)
 	opts = append(opts, s.Base...)
 	opts = append(opts, extra...)
 	opts = append(opts, WithPolicy(c.Policy), WithRatio(c.Ratio), WithSeed(c.Seed))
-	e := NewExperiment(opts...)
-	e.scratch = sc
-	return e
+	return NewExperiment(opts...)
 }
 
 // errCellNotRun marks cells the sweep never started before cancellation.
@@ -131,7 +122,7 @@ func (s *Sweep) sharedStream(cells []Cell, baseExtra []Option) *trace.ReplaySour
 			return nil
 		}
 	}
-	proto := s.experimentFor(cells[0], baseExtra, nil)
+	proto := s.experimentFor(cells[0], baseExtra)
 	if proto.recordTo != "" {
 		return nil
 	}
@@ -254,11 +245,9 @@ func (s *Sweep) Run(ctx context.Context) ([]CellResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := scratchPool.Get().(*sim.Scratch)
-			defer scratchPool.Put(sc)
 			for idx := range jobs {
 				c := cells[idx]
-				e := s.experimentFor(c, baseExtra, sc)
+				e := s.experimentFor(c, baseExtra)
 				if shared != nil {
 					e.workload = shared.Fork()
 				}

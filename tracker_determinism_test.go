@@ -170,12 +170,13 @@ func TestTrackerRecordReplayByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepRecycledRingMatchesFreshRuns is the ring-scrub regression: a
-// sweep worker recycles sample rings across cells, so a cell whose
-// tracker drains fewer samples than its predecessor wrote must never see
-// the predecessor's leftovers. Every cell of a mixed-tracker sweep (PEBS
-// ring, then idlepage ring, then soft-dirty — maximally different fill
-// patterns) must equal the same cell run as a fresh singleton experiment.
+// TestSweepRecycledRingMatchesFreshRuns is the ring-scrub regression:
+// sim.Run recycles its sample ring across runs through a package-level
+// pool, so a cell whose tracker drains fewer samples than its predecessor
+// wrote must never see the predecessor's leftovers. Every cell of a
+// mixed-tracker sweep (PEBS ring, then idlepage ring, then soft-dirty —
+// maximally different fill patterns) must equal the same cell run as a
+// fresh singleton experiment.
 // The CI race job additionally runs this under -race, catching any
 // sharing the scrub hides.
 func TestSweepRecycledRingMatchesFreshRuns(t *testing.T) {
@@ -189,7 +190,7 @@ func TestSweepRecycledRingMatchesFreshRuns(t *testing.T) {
 		Policies: policies,
 		Ratios:   []int{8},
 		Seeds:    []uint64{7},
-		Workers:  1, // one worker = every cell reuses the same scratch
+		Workers:  1, // one worker: each cell likely adopts its predecessor's ring
 		Base:     base,
 	}).Run(context.Background())
 	if err != nil {
@@ -213,7 +214,7 @@ func TestSweepRecycledRingMatchesFreshRuns(t *testing.T) {
 		got, _ := json.Marshal(c.Result)
 		want, _ := json.Marshal(fresh)
 		if string(got) != string(want) {
-			t.Errorf("%s: recycled-scratch cell diverges from a fresh run", c.Policy)
+			t.Errorf("%s: recycled-ring cell diverges from a fresh run", c.Policy)
 		}
 	}
 }
